@@ -265,16 +265,12 @@ pub fn experiment_cache_config_with_dram(_region_size: usize, dram_bytes: usize)
         // multi-GiB pools CacheBench provisions), net of region buffers.
         dram_bytes,
         in_memory_buffers: 1,
-        insert_cpu: sim::Nanos::from_nanos(2_000),
-        lookup_cpu: sim::Nanos::from_nanos(1_000),
         index_remove_cpu: sim::Nanos::from_nanos(2_000),
         index_remove_contended_cpu: sim::Nanos::from_nanos(80_000),
         verify_keys: false,
-        eviction_lock_threshold: 4096,
         reinsertion_fraction: 0.0,
         maintenance_interval_sets: 64,
         retry: Default::default(),
-        read_retry_attempts: 3,
         // Keep a small clean pool ahead of the writers so the maintainer
         // (when running) absorbs eviction cost off the foreground path.
         clean_region_watermark: 2,

@@ -17,7 +17,7 @@
 //!   per-region reader count), re-confirms the location, performs the
 //!   device read and CRC verification completely unlocked, and revalidates
 //!   the region's generation counter afterwards. A read that raced an
-//!   eviction retries (bounded by `read_retry_attempts`) and otherwise
+//!   eviction retries (bounded by `READ_RETRY_ATTEMPTS`) and otherwise
 //!   degrades to a miss — never to wrong bytes.
 //! * **Writes reserve, then copy outside the lock.** The writer mutex is
 //!   held only to bump the active region's append cursor; the payload copy
@@ -54,7 +54,6 @@ use sim::{crc32, Crc32, LatencyHistogram, Nanos};
 use crate::backend::{RegionBackend, RegionHealth};
 use crate::dram::{DramCache, DramEntry};
 use crate::index::{Index, IndexEntry};
-use crate::io::{EngineIo, FlushTicket, IoClass};
 use crate::metrics::{CacheMetrics, CacheMetricsSnapshot, CounterTable};
 use crate::policy::{Admission, AdmissionGate, EvictionPolicy};
 use crate::protocol::{CleanPool, CommitWindow, Generation, InflightCell, Pins};
@@ -68,6 +67,22 @@ pub const OBJECT_HEADER: usize = 12;
 
 /// Byte offset of the CRC field within [`OBJECT_HEADER`].
 pub(crate) const HEADER_CRC_OFFSET: usize = 8;
+
+/// CPU cost to serialize and index one inserted object.
+pub(crate) const INSERT_CPU: Nanos = Nanos::from_nanos(2_000);
+
+/// CPU cost of one index lookup.
+pub(crate) const LOOKUP_CPU: Nanos = Nanos::from_nanos(1_000);
+
+/// Eviction cleanups larger than this many entries saturate every index
+/// shard and stall the whole engine; smaller cleanups cost only the
+/// evicting thread (sharded locks absorb them).
+pub(crate) const EVICTION_LOCK_THRESHOLD: usize = 4096;
+
+/// Attempts for a lookup whose unlocked flash read raced an eviction (the
+/// entry's region generation changed mid-read). Exhaustion degrades to a
+/// miss — under that much churn the object is as good as evicted.
+pub(crate) const READ_RETRY_ATTEMPTS: u32 = 3;
 
 /// Bounded retry for transient backend I/O failures, with exponential
 /// backoff in *simulated* time (the delay is charged to the operation's
@@ -143,15 +158,11 @@ pub struct CacheConfig {
     /// Region buffers that may be in flight at once (CacheLib default: a
     /// small clean-region pool; 2 here).
     pub in_memory_buffers: usize,
-    /// CPU cost to serialize and index one inserted object.
-    pub insert_cpu: Nanos,
-    /// CPU cost of one index lookup.
-    pub lookup_cpu: Nanos,
     /// CPU cost to remove one index entry during region eviction, paid by
     /// the evicting thread.
     pub index_remove_cpu: Nanos,
     /// Per-entry cost of an *oversized* eviction (more entries than
-    /// `eviction_lock_threshold`): the cleanup then saturates every index
+    /// `EVICTION_LOCK_THRESHOLD`): the cleanup then saturates every index
     /// shard and stalls the whole engine — the Fig. 3 contention. This is
     /// a scale-compensation parameter: scaled-down regions hold fewer
     /// objects than the paper's, so the per-object charge is raised to
@@ -160,10 +171,6 @@ pub struct CacheConfig {
     /// Verify full keys against flash on lookup (requires a payload-backed
     /// store; disable for sparse-store experiments).
     pub verify_keys: bool,
-    /// Eviction cleanups larger than this many entries saturate every
-    /// index shard and stall the whole engine; smaller cleanups cost only
-    /// the evicting thread (sharded locks absorb them).
-    pub eviction_lock_threshold: usize,
     /// Fraction of an evicted region's objects that may be *reinserted*
     /// instead of dropped, chosen among objects read since insertion —
     /// CacheLib's hits-based reinsertion policy. 0.0 disables it.
@@ -172,11 +179,6 @@ pub struct CacheConfig {
     pub maintenance_interval_sets: u32,
     /// Retry budget for transient backend I/O failures.
     pub retry: RetryPolicy,
-    /// Attempts for a lookup whose unlocked flash read raced an eviction
-    /// (the entry's region generation changed mid-read). Exhaustion
-    /// degrades to a miss — under that much churn the object is as good as
-    /// evicted.
-    pub read_retry_attempts: u32,
     /// Keep at least this many clean (free) regions available, refilled by
     /// the [`crate::maintainer::Maintainer`]. 0 disables background
     /// eviction entirely: every eviction then runs inline on the write
@@ -197,16 +199,12 @@ impl CacheConfig {
             dram_shards: 4,
             dram_write_back: false,
             in_memory_buffers: 2,
-            insert_cpu: Nanos::from_nanos(2_000),
-            lookup_cpu: Nanos::from_nanos(1_000),
             index_remove_cpu: Nanos::from_nanos(300),
             index_remove_contended_cpu: Nanos::from_nanos(300),
             verify_keys: true,
-            eviction_lock_threshold: 4096,
             reinsertion_fraction: 0.0,
             maintenance_interval_sets: 16,
             retry: RetryPolicy::default(),
-            read_retry_attempts: 3,
             clean_region_watermark: 0,
             seed: 42,
         }
@@ -454,6 +452,21 @@ struct WriterState {
     next_seal_seq: u64,
 }
 
+/// Pipeline handle to one detached region flush.
+///
+/// Created by [`LogCache::seal_detach`] under the writer mutex; resolved by
+/// whoever needs the flush's outcome (next sealer over depth, `flush()`
+/// barrier, or the evictor of that region). The cell is completed by the
+/// submitter after the device call returns — success or failure alike, so
+/// a waiter can never hang on a flush whose submission path already
+/// unwound.
+struct FlushTicket {
+    /// Region slot the detached image is bound for.
+    region: u32,
+    /// Completion cell the submitter fills.
+    cell: Arc<InflightCell>,
+}
+
 /// A detached flush: the sealed region image plus the completion cell its
 /// submitter fills. Created under the writer mutex by
 /// [`LogCache::seal_detach`]; the device call runs in
@@ -511,8 +524,6 @@ pub struct LogCache {
     /// hottest — region at DRAM latency (the Zone-Cache p99 lever).
     /// Bounded by the flush pipeline depth (`in_memory_buffers`).
     sealing_ro: RwLock<Vec<Arc<RegionBuffer>>>,
-    /// Submission/completion accounting for every backend call.
-    io: EngineIo,
     /// Lock-striped DRAM tier; empty when `dram_bytes == 0`.
     dram: Vec<Mutex<DramCache>>,
     /// Per-DRAM-shard supersession epochs, one per shard (write-back
@@ -596,7 +607,6 @@ impl LogCache {
             }),
             active_ro: RwLock::new(None),
             sealing_ro: RwLock::new(Vec::new()),
-            io: EngineIo::new(),
             dram,
             dram_epochs,
             admission: Mutex::new(AdmissionGate::new(config.admission, config.seed)),
@@ -669,14 +679,6 @@ impl LogCache {
     /// Clean (immediately allocatable) region slots.
     pub fn clean_regions(&self) -> usize {
         self.writer.lock().free.len()
-    }
-
-    /// Backend operations submitted but not yet completed, across all
-    /// I/O classes. Zero whenever the engine is quiescent (no detached
-    /// flush in flight, no read or maintenance op mid-call); tests use
-    /// this to prove no operation ever leaks.
-    pub fn io_in_flight(&self) -> u64 {
-        self.io.in_flight()
     }
 
     fn observe_clock(&self, now: Nanos) {
@@ -944,10 +946,8 @@ impl LogCache {
                     }
                     let len = OBJECT_HEADER + e.key_len as usize + e.value_len as usize;
                     let mut obj = vec![0u8; len];
-                    match self.io.run(IoClass::Maintenance, || {
-                        self.retry_io(now, |t| {
-                            self.backend.read(RegionId(victim), offset as usize, &mut obj, t)
-                        })
+                    match self.retry_io(now, |t| {
+                        self.backend.read(RegionId(victim), offset as usize, &mut obj, t)
                     }) {
                         Ok(t) => now = t,
                         Err(_) => continue,
@@ -979,7 +979,7 @@ impl LogCache {
             // Small cleanups hide behind sharded index locks; a huge one (a
             // zone-sized region) touches every shard continuously and stalls
             // the whole engine — the paper's Fig. 3 contention.
-            if entries.len() > self.config.eviction_lock_threshold {
+            if entries.len() > EVICTION_LOCK_THRESHOLD {
                 let stall = now + self.config.index_remove_contended_cpu * entries.len() as u64;
                 self.raise_stall(stall);
                 t = t.max(stall);
@@ -987,9 +987,7 @@ impl LogCache {
             // Wait out in-flight pinned reads: nobody may be mid-read on
             // storage we are about to reclaim.
             slot.pins.drain();
-            match self.io.run(IoClass::Maintenance, || {
-                self.retry_io(t, |t| self.backend.discard_region(RegionId(victim), t))
-            }) {
+            match self.retry_io(t, |t| self.backend.discard_region(RegionId(victim), t)) {
                 Ok(t) => {
                     self.metrics.evicted_objects.add(removed);
                     self.metrics.evicted_regions.incr();
@@ -1173,10 +1171,8 @@ impl LogCache {
             let read = {
                 let _pin = slot.pins.pin();
                 let gen = slot.generation.sample();
-                let r = self.io.run(IoClass::Maintenance, || {
-                    self.retry_io(*t, |t| {
-                        self.backend.read(RegionId(region), offset as usize, &mut obj, t)
-                    })
+                let r = self.retry_io(*t, |t| {
+                    self.backend.read(RegionId(region), offset as usize, &mut obj, t)
                 });
                 if slot.generation.changed_since(gen) {
                     return Ok(()); // region evicted mid-scrub; its entries are gone
@@ -1324,7 +1320,6 @@ impl LogCache {
     fn submit_flush(&self, job: SealJob, now: Nanos) -> Result<Nanos, CacheError> {
         let SealJob { buf, cell } = job;
         let region = buf.region;
-        self.io.submitted(IoClass::Flush);
         // The buffer was zero-initialized, so the tail past `used` is
         // already padding.
         // SAFETY: quiesced in `seal_detach`, and the buffer is detached
@@ -1345,7 +1340,6 @@ impl LogCache {
                     self.backend.region_size() as u64,
                 );
                 cell.complete(done);
-                self.io.completed(IoClass::Flush);
                 Ok(done)
             }
             Err(e) => {
@@ -1365,7 +1359,6 @@ impl LogCache {
                 self.drop_sealing(region.0);
                 self.metrics.flush_failures.incr();
                 cell.complete(now);
-                self.io.completed(IoClass::Flush);
                 Err(e)
             }
         }
@@ -1519,9 +1512,7 @@ impl LogCache {
             scores[r as usize] = rank as f64 / n;
         }
         let temperature = move |r: RegionId| scores.get(r.0 as usize).copied().unwrap_or(0.0);
-        let outcome = self
-            .io
-            .run(IoClass::Maintenance, || self.backend.maintenance(now, &temperature))?;
+        let outcome = self.backend.maintenance(now, &temperature)?;
         for region in outcome.dropped_regions {
             let slot = &self.slots[region.0 as usize];
             let entries = {
@@ -1589,7 +1580,7 @@ impl LogCache {
         }
         if !self.admit() {
             self.metrics.rejected.incr();
-            return Ok(now + self.config.insert_cpu);
+            return Ok(now + INSERT_CPU);
         }
         let hash = hash_key(key);
         let fp = fingerprint(key);
@@ -1636,7 +1627,7 @@ impl LogCache {
                     if let Some(old) = self.index.remove(hash, fp) {
                         self.dec_live(old.region);
                     }
-                    let mut t = now.max(self.stall_deadline()) + self.config.insert_cpu;
+                    let mut t = now.max(self.stall_deadline()) + INSERT_CPU;
                     for (demoted_hash, entry) in evicted {
                         t = self.demote(demoted_hash, entry, demote_epoch, t)?;
                     }
@@ -1736,7 +1727,7 @@ impl LogCache {
         // its device write is submitted after the lock is dropped, so
         // other writers fill the next buffer while the flush programs.
         let mut w = self.writer.lock();
-        let mut t = now.max(self.stall_deadline()) + self.config.insert_cpu;
+        let mut t = now.max(self.stall_deadline()) + INSERT_CPU;
         loop {
             if let Some(active) = &w.active {
                 if region_size - active.used >= size {
@@ -1856,10 +1847,9 @@ impl LogCache {
         let hash = hash_key(key);
         let fp = fingerprint(key);
         self.metrics.gets.incr();
-        let mut t = now + self.config.lookup_cpu;
+        let mut t = now + LOOKUP_CPU;
 
-        let attempts = self.config.read_retry_attempts.max(1);
-        for _ in 0..attempts {
+        for _ in 0..READ_RETRY_ATTEMPTS {
             match self.try_get(key, hash, fp, now, &mut t)? {
                 TryGet::Hit(value) => {
                     self.index.touch(hash, fp);
@@ -1918,7 +1908,7 @@ impl LogCache {
             return Ok(TryGet::Miss);
         }
         // Index-wide stall from oversized eviction cleanup.
-        *t = (*t).max(self.stall_deadline() + self.config.lookup_cpu);
+        *t = (*t).max(self.stall_deadline() + LOOKUP_CPU);
         // relaxed-ok: access sequence is a recency counter, not a publish.
         let seq = self.access_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = &self.slots[entry.region.0 as usize];
@@ -2010,10 +2000,8 @@ impl LogCache {
             // Read header + key + value; verify identity + checksum.
             let len = OBJECT_HEADER + entry.key_len as usize + entry.value_len as usize;
             let mut obj = vec![0u8; len];
-            match self.io.run(IoClass::Read, || {
-                self.retry_io(*t, |t| {
-                    self.backend.read(entry.region, entry.offset as usize, &mut obj, t)
-                })
+            match self.retry_io(*t, |t| {
+                self.backend.read(entry.region, entry.offset as usize, &mut obj, t)
             }) {
                 Ok(done) => *t = done,
                 // A read error on a region that was invalidated mid-read
@@ -2054,9 +2042,7 @@ impl LogCache {
             // is the only guard against serving a reclaimed location.
             let start = entry.offset as usize + OBJECT_HEADER + entry.key_len as usize;
             let mut value = vec![0u8; entry.value_len as usize];
-            match self.io.run(IoClass::Read, || {
-                self.retry_io(*t, |t| self.backend.read(entry.region, start, &mut value, t))
-            }) {
+            match self.retry_io(*t, |t| self.backend.read(entry.region, start, &mut value, t)) {
                 Ok(done) => *t = done,
                 Err(e) => return stale(Some(e)),
             }
@@ -2079,7 +2065,7 @@ impl LogCache {
         self.observe_clock(now);
         let hash = hash_key(key);
         let fp = fingerprint(key);
-        let t = now + self.config.lookup_cpu;
+        let t = now + LOOKUP_CPU;
         // The DRAM tier is purged unconditionally: in write-back mode the
         // resident copy may be the *only* copy, with no index entry to
         // lead here (mirror mode reaches the same state — no stale DRAM
@@ -2435,7 +2421,7 @@ mod tests {
         let (v, t_done) = c.get(b"k", t).unwrap();
         assert_eq!(v.as_deref(), Some(&b"v"[..]));
         // DRAM hit: no device latency beyond CPU cost.
-        assert_eq!(t_done - t, c.config().lookup_cpu);
+        assert_eq!(t_done - t, LOOKUP_CPU);
     }
 
     /// Write-back rig: one DRAM shard sized for exactly two 31-byte

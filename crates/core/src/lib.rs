@@ -51,12 +51,9 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod backend;
-pub mod bighash;
-pub mod bloom_filter;
 pub mod dram;
 pub mod engine;
 pub mod index;
-pub mod io;
 pub mod maintainer;
 pub mod metrics;
 pub mod policy;
@@ -67,7 +64,6 @@ pub mod sync;
 pub mod trace;
 pub mod types;
 
-pub use bighash::{BigHash, HybridEngine};
 pub use engine::{CacheConfig, LogCache, RetryPolicy, ScrubReport};
 pub use maintainer::{Maintainer, MaintainerHandle};
 pub use metrics::CacheMetricsSnapshot;

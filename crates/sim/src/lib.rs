@@ -29,7 +29,6 @@
 //! assert!(hist.percentile(99.0).as_micros() >= 40_000);
 //! ```
 
-pub mod aio;
 pub mod checksum;
 pub mod driver;
 pub mod fault;

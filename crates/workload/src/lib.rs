@@ -14,10 +14,8 @@
 
 pub mod cachebench;
 pub mod dist;
-pub mod trace;
 pub mod values;
 
 pub use cachebench::{CacheBench, CacheBenchConfig, Op};
 pub use dist::{ExpRange, Zipf};
-pub use trace::{replay, TraceRecorder};
 pub use values::{value_for_key, value_len_for_key};

@@ -7,7 +7,7 @@
 //!    guards live across device I/O, and the flush pipeline's
 //!    submit-to-complete interval.
 //! 2. [`tickets`] — linear-resource obligation tracking for async I/O
-//!    tickets (`IoHandle` submissions, `FlushTicket`s): every submit must
+//!    tickets (`FlushTicket`s, queue-handle `.submit(…)`s): every submit must
 //!    be resolved, reaped, or aborted on every path, including `?` exits.
 //! 3. [`atomics`] — the atomic-ordering inventory: every atomic site with
 //!    its `Ordering`, the Relaxed-needs-justification rule, and the

@@ -382,7 +382,7 @@ fn parse_struct_fields(struct_name: &str, body: &[Tree], out: &mut FileModel<'_>
             }
             j += 1;
         }
-        // Path types like `sim::aio::IoHandle`: principal should be the
+        // Path types like `sim::trace::Event`: principal should be the
         // *last* top-level segment before generics, but the first segment
         // heuristic breaks on paths; fix up: if the collected idents form
         // a path (`::`), prefer the last pre-generic segment.

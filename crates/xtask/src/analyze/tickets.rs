@@ -1,10 +1,11 @@
 //! I/O-ticket obligation checking: linear-resource tracking for async
 //! submissions.
 //!
-//! The async core hands out obligations: an `IoHandle::submit` buffers a
-//! completion that must be reaped (`try_complete`/`complete_all`), and a
-//! `seal_detach`/`submit_flush` produces `FlushTicket`s that must be
-//! resolved (`resolve_ticket`/`wait_done`). Dropping one on the floor is
+//! The async core hands out obligations: a `seal_detach`/`submit_flush`
+//! produces `FlushTicket`s that must be resolved
+//! (`resolve_ticket`/`wait_done`), and a queue handle's `.submit(…)`
+//! buffers a completion that must be reaped (`try_complete`/
+//! `complete_all`). Dropping one on the floor is
 //! the debris/quarantine class of bug PR 7 fixed by hand: device state
 //! already mutated, but nobody ever observes the completion — or the
 //! error it carried.

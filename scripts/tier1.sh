@@ -14,6 +14,12 @@ cargo build --release
 echo "== tier1: test suite =="
 cargo test -q
 
+echo "== tier1: benchmark crate tests (perfbench, locked) =="
+# perfbench/ is its own package with its own Cargo.lock. `--locked` makes
+# a crate change that would rewrite that lock file fail here, and the build
+# fails on any public API removal the benchmark still uses.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== tier1: clippy (warnings are errors, pinned allow-list in Cargo.toml) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -216,50 +216,6 @@ fn recovery_is_lossless() {
     }
 }
 
-/// The hybrid (BigHash + log-structured) engine agrees with a map under
-/// mixed-size workloads, including objects crossing the size threshold
-/// between updates.
-#[test]
-fn hybrid_engine_matches_map() {
-    use zns_cache_repro::sim::RamDisk;
-    use zns_cache_repro::zns_cache::backend::BlockBackend;
-    use zns_cache_repro::zns_cache::bighash::{BigHash, HybridEngine};
-
-    for seed in SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bucket_dev = Arc::new(RamDisk::new(16));
-        let small = BigHash::new(bucket_dev, Lba(0), 16).unwrap();
-        let region_dev = Arc::new(RamDisk::new(512));
-        let backend = Arc::new(BlockBackend::new(region_dev, 16 * BLOCK_SIZE));
-        let large = Arc::new(LogCache::new(backend, CacheConfig::small_test()).unwrap());
-        let hybrid = HybridEngine::new(small, large, 256);
-
-        let mut model: HashMap<u8, Option<Vec<u8>>> = HashMap::new();
-        let mut t = Nanos::ZERO;
-        let n = rng.gen_range(1..200usize);
-        for _ in 0..n {
-            let k = rng.gen_range(0..256u64) as u8;
-            if rng.gen_bool(0.5) {
-                t = hybrid.delete(&[k], t).unwrap().1;
-                model.insert(k, None);
-            } else {
-                let len = rng.gen_range(0..3000usize);
-                let v = vec![k ^ 0x5a; len];
-                t = hybrid.set(&[k], &v, t).unwrap();
-                model.insert(k, Some(v));
-            }
-        }
-        for (k, expect) in model {
-            let (got, t2) = hybrid.get(&[k], t).unwrap();
-            t = t2;
-            if let Some(got) = got {
-                // The cache may evict, but a hit must be the latest value.
-                assert_eq!(Some(got.to_vec()), expect, "seed {seed}: key {k} stale");
-            }
-        }
-    }
-}
-
 /// The filesystem is read-your-writes at block granularity under random
 /// writes to a file, across enough churn to trigger cleaning.
 #[test]
