@@ -1,7 +1,8 @@
-//! Criterion micro-benchmarks of the hot components: the Zipf sampler, the
-//! DRAM index, ZNS append/reset, FTL writes under GC pressure, HDD seeks,
-//! and the filesystem write path. These guard the simulator's own
-//! performance (host CPU per simulated op), not the simulated results.
+//! Criterion micro-benchmarks of the hot components: the object checksum,
+//! the Zipf sampler, the DRAM index, ZNS append/reset, FTL writes under GC
+//! pressure, HDD seeks, and the filesystem write path. These guard the
+//! simulator's own performance (host CPU per simulated op), not the
+//! simulated results.
 
 use std::sync::Arc;
 
@@ -9,6 +10,23 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::{BlockDevice, Lba, Nanos, BLOCK_SIZE};
+
+fn bench_crc32(c: &mut Criterion) {
+    // Every object written to or read from flash is checksummed over its
+    // key + value. 64 B to 4 KiB span most of the paper mix's value sizes
+    // (median 512 B); 256 KiB shows the kernel's steady-state throughput.
+    for (name, len) in [
+        ("crc32_64b", 64),
+        ("crc32_1k", 1024),
+        ("crc32_4k", 4096),
+        ("crc32_256k", 256 * 1024),
+    ] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+        c.bench_function(name, |b| {
+            b.iter(|| sim::checksum::crc32(std::hint::black_box(&data)))
+        });
+    }
+}
 
 fn bench_zipf(c: &mut Criterion) {
     let zipf = workload::Zipf::new(10_000_000, 0.9);
@@ -133,6 +151,6 @@ fn bench_middle_layer(c: &mut Criterion) {
 criterion_group!(
     name = components;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_zipf, bench_index, bench_zns, bench_ftl, bench_hdd, bench_f2fs, bench_middle_layer
+    targets = bench_crc32, bench_zipf, bench_index, bench_zns, bench_ftl, bench_hdd, bench_f2fs, bench_middle_layer
 );
 criterion_main!(components);

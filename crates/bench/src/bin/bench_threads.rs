@@ -25,7 +25,9 @@
 //! bench_threads                        # full sweep -> BENCH_throughput.json
 //! bench_threads --smoke 1 --threads 8  # all schemes at 1 and 8 threads,
 //!                                      # asserting scaling floors; no file
-//! bench_threads --floor 1              # flash Zone-Cache @8T perf floor
+//! bench_threads --floor 1              # flash Zone-Cache @8T model regression
+//!                                      # gate (simulated ops/s, not host
+//!                                      # performance)
 //! bench_threads --scheme Region-Cache --threads 8
 //! bench_threads --stripe-dies 4 --append-depth 1   # narrower stripe, QD1
 //! bench_threads --trace-out trace.jsonl --scheme File-Cache --threads 8
@@ -101,7 +103,8 @@ fn main() {
     }
 
     if floor {
-        // CI perf floor: the async flush pipeline must hold flash
+        // CI model regression gate (simulated ops/s, not host
+        // performance): the async flush pipeline must hold flash
         // Zone-Cache at (or near) the media bound at 8 threads, with get
         // tail latency in microseconds — the regression gate for the
         // submit/complete I/O core. Realistic NAND timing on purpose:
@@ -121,7 +124,10 @@ fn main() {
             p99.as_nanos()
         );
         zns_cache_bench::finish_trace(&trace_out);
-        println!("perf floor OK: {ops:.0} ops/s, get p99 {}us", p99.as_micros());
+        println!(
+            "model regression gate OK: {ops:.0} sim ops/s, get p99 {}us",
+            p99.as_micros()
+        );
         return;
     }
 

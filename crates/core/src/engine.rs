@@ -2825,6 +2825,49 @@ mod tests {
         assert_eq!(LogCache::header_crc(&[]), None);
     }
 
+    /// Pins the on-flash object checksum: `object_crc` for one object of
+    /// each of the paper mix's eight value sizes, with the values computed
+    /// by the byte-at-a-time CRC kernel. Objects written by any earlier
+    /// build must keep verifying, so these may never change.
+    #[test]
+    fn object_crc_golden_values_pin_the_on_flash_format() {
+        fn splitmix64(mut x: u64) -> u64 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        }
+        // The bytes of `workload::value_for_key(id, 0)`, regenerated here
+        // because this crate does not depend on `workload`.
+        fn value_for_key(id: u64, len: usize) -> Vec<u8> {
+            let mut state = splitmix64(id ^ 0xA5A5_5A5A);
+            let mut out = Vec::with_capacity(len);
+            while out.len() < len {
+                state = splitmix64(state);
+                out.extend_from_slice(&state.to_le_bytes());
+            }
+            out.truncate(len);
+            out
+        }
+        for (id, len, crc) in [
+            (29u64, 64usize, 0xEBE8_CC2Au32),
+            (2, 128, 0xF8F4_84A7),
+            (5, 256, 0xF540_CF6B),
+            (0, 512, 0x242C_6926),
+            (1, 1024, 0x89F8_9847),
+            (7, 2048, 0x5EDC_421A),
+            (6, 4096, 0x4C1B_79FA),
+            (40, 8192, 0x577B_EC9A),
+        ] {
+            let key = format!("key-{id:016x}");
+            assert_eq!(
+                LogCache::object_crc(key.as_bytes(), &value_for_key(id, len)),
+                crc,
+                "key {id}, {len} B value"
+            );
+        }
+    }
+
     // ------------------------------------------------------------------
     // Panic regression: every failure reachable from the public API must
     // surface as a typed error, never a panic (satellite of the

@@ -399,6 +399,29 @@ mod tests {
         ));
     }
 
+    /// Pins the snapshot format's CRC trailer for a small fixed cache, as
+    /// computed by the byte-at-a-time CRC kernel: a snapshot written by any
+    /// earlier build must keep passing the checksum.
+    #[test]
+    fn snapshot_crc_trailer_golden_value() {
+        let cache = LogCache::new(backend(), CacheConfig::small_test()).unwrap();
+        let mut t = Nanos::ZERO;
+        // The three keys hash to distinct index shards, so the index dump
+        // (and with it the blob) has one order on every run.
+        for (k, v) in [
+            (&b"alpha"[..], &b"one"[..]),
+            (b"bravo", b"two"),
+            (b"charlie", b"three"),
+        ] {
+            t = cache.set(k, v, t).unwrap();
+        }
+        let (snap, _) = snapshot(&cache, t).unwrap();
+        assert_eq!(snap.len(), 638);
+        let trailer = u32::from_le_bytes(snap[snap.len() - 4..].try_into().unwrap());
+        assert_eq!(trailer, 0x5A86_FC13);
+        assert!(recover(backend(), CacheConfig::small_test(), &snap).is_ok());
+    }
+
     #[test]
     fn snapshot_bit_flip_detected_by_checksum() {
         let be = backend();

@@ -69,9 +69,11 @@ echo "== tier1: loopback server latency gate (open-loop, fixed rate) =="
 # sweep (writes BENCH_latency.json) is the bare bench_latency invocation.
 cargo run --release -p zns-cache-bench --bin bench_latency -- --gate 1
 
-echo "== tier1: perf floor (flash Zone-Cache, 8 threads) =="
-# The async I/O core's acceptance bar: flash-profile Zone-Cache at 8
-# threads must sustain >= 110k sim ops/s with a get p99 under 100us.
+echo "== tier1: model regression gate (simulated ops/s, not host performance; flash Zone-Cache, 8 threads) =="
+# The async I/O core's acceptance bar, in simulated device time:
+# flash-profile Zone-Cache at 8 threads must sustain >= 110k simulated
+# ops/s with a simulated get p99 under 100us. It says nothing about host
+# CPU cost.
 # One sweep point, not the full matrix; the full sweep (which also
 # rewrites BENCH_throughput.json) is the bare bench_threads invocation.
 cargo run --release -p zns-cache-bench --bin bench_threads -- --floor 1
